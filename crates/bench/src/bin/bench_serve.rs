@@ -1,7 +1,8 @@
 //! Timing harness for the analysis service's content-addressed result
 //! store: runs the same exact MMT analysis twice through one `Engine` —
 //! cold (full classification) then hot (store fetch) — verifies the two
-//! payloads are byte-identical, and writes the numbers to
+//! payloads are byte-identical, then repeats the hot query over TCP
+//! through an in-process `Server` and `Client`, and writes the numbers to
 //! `BENCH_serve.json`.
 //!
 //! ```text
@@ -12,11 +13,28 @@
 //! At `--scale paper` (MMT N=BJ=100, BK=50 on the paper's 32KB/32B/2-way
 //! cache) the harness asserts the hot query is at least 100x faster than
 //! the cold one — the whole point of a persistent service: the second
-//! asker pays a hash lookup, not a whole-program analysis.
+//! asker pays a hash lookup, not a whole-program analysis. At every scale
+//! it asserts the median hot round trip over the wire is under 20 ms:
+//! each NDJSON frame leaves in one write with Nagle off, so no segment
+//! waits out the peer's delayed ACK (about 40 ms).
 
 use cme_bench::{timed, Scale};
 use cme_cache::CacheConfig;
-use cme_serve::{Engine, Job};
+use cme_serve::{Client, Job, Server, ServerOptions};
+use std::time::Duration;
+
+/// Hot queries per leg, each verified byte-identical.
+const HOT_QUERIES: usize = 200;
+
+/// Median and 99th percentile of a latency sample.
+fn p50_p99(mut lat: Vec<Duration>) -> (Duration, Duration) {
+    lat.sort();
+    (lat[lat.len() / 2], lat[lat.len() * 99 / 100])
+}
+
+fn micros(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,7 +60,15 @@ fn main() {
         threads.count()
     );
 
-    let engine = Engine::in_memory(16);
+    // The in-process legs run on the server's own engine, so the wire leg
+    // answers from the store the cold run filled.
+    let server = Server::bind(ServerOptions {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServerOptions::default()
+    })
+    .expect("bind the in-process server");
+    let addr = server.local_addr().expect("server address");
+    let engine = server.engine();
     let job = {
         let mut j = Job::exact(&program, cfg);
         j.threads = threads;
@@ -57,7 +83,6 @@ fn main() {
     // byte-identical (the tentpole guarantee — repeat queries return the
     // stored bytes), with the latency distribution rather than a single
     // possibly-lucky sample.
-    const HOT_QUERIES: usize = 200;
     let mut hot_lat = Vec::with_capacity(HOT_QUERIES);
     for _ in 0..HOT_QUERIES {
         let (hot, hot_t) = timed(|| engine.run(&job).expect("no deadline"));
@@ -70,11 +95,44 @@ fn main() {
         assert_eq!(cold.fingerprint, hot.fingerprint);
         hot_lat.push(hot_t);
     }
-    hot_lat.sort();
-    let hot_t = hot_lat[HOT_QUERIES / 2];
-    let p50_us = hot_t.as_secs_f64() * 1e6;
-    let p99_us = hot_lat[HOT_QUERIES * 99 / 100].as_secs_f64() * 1e6;
+    let (hot_t, hot_p99) = p50_p99(hot_lat);
+    let (p50_us, p99_us) = (micros(hot_t), micros(hot_p99));
     eprintln!("hot:  p50 {p50_us:.1}us  p99 {p99_us:.1}us over {HOT_QUERIES} queries");
+
+    // The same hot query over TCP: request frame, store hit, response
+    // frame. The report is spliced verbatim, so the stored payload must
+    // appear byte for byte behind the fingerprint.
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).expect("connect to the in-process server");
+    let request = format!(
+        r#"{{"cmd":"analyze","workload":"mmt","n":{n},"bj":{bj},"bk":{bk},"mode":"exact","geometry":"{}"}}"#,
+        cfg.geometry_string()
+    );
+    let expected = format!(
+        r#"{{"ok":true,"fingerprint":"{}","report":{},"metrics":{{"store":"hit","#,
+        cold.fingerprint,
+        cold.payload.as_str()
+    );
+    let mut wire_lat = Vec::with_capacity(HOT_QUERIES);
+    for _ in 0..HOT_QUERIES {
+        let (line, t) = timed(|| client.request_line(&request).expect("wire round trip"));
+        assert!(
+            line.starts_with(&expected),
+            "wire hot answer must be a store hit carrying the cold payload byte for byte"
+        );
+        wire_lat.push(t);
+    }
+    let (wire_p50, wire_p99) = p50_p99(wire_lat);
+    let (wire_p50_us, wire_p99_us) = (micros(wire_p50), micros(wire_p99));
+    eprintln!("wire: p50 {wire_p50_us:.1}us  p99 {wire_p99_us:.1}us over {HOT_QUERIES} queries");
+    client
+        .request_line(r#"{"cmd":"shutdown"}"#)
+        .expect("shutdown the in-process server");
+    daemon.join().expect("server thread").expect("server exit");
+    assert!(
+        wire_p50_us < 20_000.0,
+        "median hot round trip over the wire must be under 20 ms, got {wire_p50_us:.0}us"
+    );
 
     let speedup = cold_t.as_secs_f64() / hot_t.as_secs_f64().max(1e-9);
     if scale == Scale::Paper {
@@ -85,7 +143,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"workload\": \"mmt(N={n},BJ={bj},BK={bk})\",\n  \"scale\": \"{}\",\n  \"cache\": \"32KB/32B/2-way\",\n  \"mode\": \"exact\",\n  \"points\": {},\n  \"cold_ms\": {:.3},\n  \"hot_ms\": {:.3},\n  \"hot_queries\": {HOT_QUERIES},\n  \"hot_p50_us\": {p50_us:.1},\n  \"hot_p99_us\": {p99_us:.1},\n  \"speedup\": {speedup:.1},\n  \"threads\": {},\n  \"hw_threads\": {},\n  \"strategy\": \"set-skip\",\n  \"fingerprint\": \"{}\"\n}}\n",
+        "{{\n  \"workload\": \"mmt(N={n},BJ={bj},BK={bk})\",\n  \"scale\": \"{}\",\n  \"cache\": \"32KB/32B/2-way\",\n  \"mode\": \"exact\",\n  \"points\": {},\n  \"cold_ms\": {:.3},\n  \"hot_ms\": {:.3},\n  \"hot_queries\": {HOT_QUERIES},\n  \"hot_p50_us\": {p50_us:.1},\n  \"hot_p99_us\": {p99_us:.1},\n  \"wire_hot_p50_us\": {wire_p50_us:.1},\n  \"wire_hot_p99_us\": {wire_p99_us:.1},\n  \"speedup\": {speedup:.1},\n  \"threads\": {},\n  \"hw_threads\": {},\n  \"strategy\": \"set-skip\",\n  \"fingerprint\": \"{}\"\n}}\n",
         scale.label(),
         cold.points,
         cold_t.as_secs_f64() * 1e3,

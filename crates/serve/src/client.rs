@@ -22,9 +22,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to the daemon.
+    /// Connects to the daemon. Nagle is off: every request is one
+    /// complete frame, so there is nothing to coalesce and a held-back tail
+    /// segment would only wait out the peer's delayed ACK.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -40,11 +43,13 @@ impl Client {
         })
     }
 
-    /// Sends one raw request line, returns the raw response line.
+    /// Sends one raw request line, returns the raw response line. The
+    /// frame (line plus `\n`) goes out in a single write.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -11,10 +11,20 @@
 //! its response metrics. Bounding analyses (rather than connections) means
 //! an idle client holding its connection open never starves other clients.
 //!
-//! While an `analyze` runs, a watcher thread `peek`s the socket: a client
-//! that disconnects mid-analysis cancels its own job through the
-//! [`CancelToken`], releasing the permit within one chunk of
-//! classification work. The engine call itself runs under `catch_unwind`:
+//! While an `analyze` or `sweep` runs, a watcher thread polls the socket
+//! with non-blocking `peek`s every 20 ms: a client that disconnects
+//! mid-analysis cancels its own job through the [`CancelToken`],
+//! releasing the permit within one chunk of classification work. `peek` leaves pipelined request bytes in place.
+//! The watcher waits between polls on a condvar that is signalled the
+//! moment the job returns, so a finished job never waits out a poll; the
+//! socket is back in blocking mode before the response is written.
+//!
+//! Framing: every NDJSON frame, payload plus `\n`, goes out in one write,
+//! and accepted sockets set `TCP_NODELAY`. A frame split over two writes
+//! with Nagle on holds its second segment back until the peer's delayed
+//! ACK, about 40 ms per frame.
+//!
+//! The engine call itself runs under `catch_unwind`:
 //! a panicking worker answers *its* client with a structured
 //! `internal_error` and bumps `panics_caught` — the daemon survives.
 //! Request lines are capped at [`MAX_LINE_BYTES`]; an oversized line gets a
@@ -231,6 +241,9 @@ impl Server {
                 break;
             }
             let Ok(conn) = stream else { continue };
+            // Every response is one complete frame; Nagle would only hold
+            // its tail segment back for the peer's delayed ACK.
+            let _ = conn.set_nodelay(true);
             let engine = self.engine.clone();
             let admission = admission.clone();
             let shutdown = shutdown.clone();
@@ -414,10 +427,12 @@ fn handle_connection(
     }
 }
 
+/// Sends one NDJSON frame, the rendered response plus its `\n`, in a
+/// single write.
 fn write_response(conn: &mut TcpStream, response: &Json) -> std::io::Result<()> {
-    conn.write_all(response.render().as_bytes())?;
-    conn.write_all(b"\n")?;
-    conn.flush()
+    let mut frame = response.render().into_bytes();
+    frame.push(b'\n');
+    conn.write_all(&frame)
 }
 
 /// The shed error: structured, explicitly retryable, with the pause the
@@ -530,53 +545,68 @@ fn panic_response(engine: &Engine, payload: &(dyn std::any::Any + Send)) -> Json
     resp
 }
 
+/// Pause between two polls of a watched socket: the latency with which a
+/// hang-up cancels its job.
+const WATCH_POLL: Duration = Duration::from_millis(20);
+
 /// A disconnect watcher for a long-running job: while the job runs, a
-/// thread `peek`s the socket, and a client that hangs up cancels its own
-/// job through the [`CancelToken`]. `peek` never consumes pipelined
-/// request bytes.
+/// thread polls the socket with non-blocking `peek`s, and a client that
+/// hangs up cancels its own job through the [`CancelToken`]. `peek` never
+/// consumes pipelined request bytes. Between polls the watcher waits on a
+/// condvar that [`Watch::finish`] signals, so a finished job never waits
+/// out a poll interval.
 struct Watch {
-    done: Arc<AtomicBool>,
+    stop: Arc<(Mutex<bool>, Condvar)>,
     watcher: Option<std::thread::JoinHandle<()>>,
 }
 
 fn watch_disconnect(conn: &TcpStream, cancel: &CancelToken) -> Watch {
-    let done = Arc::new(AtomicBool::new(false));
-    let watcher = conn.try_clone().ok().map(|watch_conn| {
-        let cancel = cancel.clone();
-        let done = done.clone();
-        let _ = watch_conn.set_read_timeout(Some(Duration::from_millis(50)));
-        std::thread::spawn(move || {
-            let mut buf = [0u8; 1];
-            while !done.load(Ordering::Acquire) {
-                match watch_conn.peek(&mut buf) {
-                    Ok(0) => {
-                        cancel.cancel(); // orderly client EOF
-                        return;
+    let stop = Arc::new((Mutex::new(false), Condvar::new()));
+    // Non-blocking mode belongs to the socket both handles share, not to
+    // the clone; `finish` restores it before the response is written.
+    let watcher = conn
+        .try_clone()
+        .ok()
+        .filter(|watch_conn| watch_conn.set_nonblocking(true).is_ok())
+        .map(|watch_conn| {
+            let cancel = cancel.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let (flag, wake) = &*stop;
+                let mut buf = [0u8; 1];
+                let mut stopped = fault::lock_recover(flag);
+                while !*stopped {
+                    match watch_conn.peek(&mut buf) {
+                        Ok(0) => {
+                            cancel.cancel(); // orderly client EOF
+                            return;
+                        }
+                        // Pipelined bytes stay queued for the request loop.
+                        Ok(_) => {}
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                        Err(_) => {
+                            cancel.cancel(); // connection reset
+                            return;
+                        }
                     }
-                    Ok(_) => std::thread::sleep(Duration::from_millis(20)),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => {
-                        cancel.cancel(); // connection reset
-                        return;
-                    }
+                    stopped = fault::wait_timeout_recover(wake, stopped, WATCH_POLL).0;
                 }
-            }
-        })
-    });
-    Watch { done, watcher }
+            })
+        });
+    Watch { stop, watcher }
 }
 
 impl Watch {
-    /// Stops the watcher once the job completes and restores blocking
-    /// reads (the watcher's read timeout is a property of the shared
-    /// socket) for the request loop.
+    /// Wakes and joins the watcher once the job completes, then restores
+    /// blocking mode on the shared socket for the response write and the
+    /// request loop.
     fn finish(self, conn: &TcpStream) {
-        self.done.store(true, Ordering::Release);
         if let Some(w) = self.watcher {
+            let (flag, wake) = &*self.stop;
+            *fault::lock_recover(flag) = true;
+            wake.notify_one();
             let _ = w.join();
-            let _ = conn.set_read_timeout(None);
+            let _ = conn.set_nonblocking(false);
         }
     }
 }

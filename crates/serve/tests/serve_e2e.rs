@@ -382,3 +382,120 @@ fn sweep_populates_store_and_matches_single_queries() {
 
     daemon.shutdown();
 }
+
+fn median(mut v: Vec<Duration>) -> Duration {
+    v.sort();
+    v[v.len() / 2]
+}
+
+/// A store hit over TCP costs a lookup plus one frame each way. Each frame
+/// leaves in one write with Nagle off, so no segment waits for the peer's
+/// delayed ACK (about 40 ms): the median round trip stays far below it.
+#[test]
+fn hot_round_trips_are_byte_identical_and_fast() {
+    let daemon = Daemon::start("hotrtt");
+    let mut client = daemon.client();
+    let req = r#"{"cmd":"analyze","workload":"mmt","n":24,"mode":"exact","cache":16384,"line":32,"assoc":2}"#;
+    let warm = client.request_line(req).unwrap();
+    let warm_json = Json::parse(&warm).unwrap();
+    assert_eq!(warm_json.get("ok"), Some(&Json::Bool(true)), "{warm}");
+
+    let mut rtts = Vec::new();
+    for _ in 0..50 {
+        let t = Instant::now();
+        let hot = client.request_line(req).unwrap();
+        rtts.push(t.elapsed());
+        let hot_json = Json::parse(&hot).unwrap();
+        assert_eq!(
+            hot_json
+                .get("metrics")
+                .unwrap()
+                .get("store")
+                .unwrap()
+                .as_str(),
+            Some("hit")
+        );
+        assert_eq!(hot_json.get("fingerprint"), warm_json.get("fingerprint"));
+        assert_eq!(report_bytes(&hot), report_bytes(&warm));
+    }
+    let p50 = median(rtts);
+    assert!(
+        p50 < Duration::from_millis(20),
+        "median hot round trip {p50:?} must stay under 20 ms"
+    );
+    daemon.shutdown();
+}
+
+/// Requests pipelined on one connection: two go out in a single write, a
+/// third arrives while the first is still computing. The disconnect
+/// watcher must leave every pipelined byte for the request loop and hand
+/// the socket back in blocking mode, so all three are answered in order
+/// with the bytes a separate query gets, and the connection still serves a
+/// later request.
+#[test]
+fn pipelined_requests_answer_in_order_and_unchanged() {
+    use std::io::{BufRead, BufReader, Write};
+    let daemon = Daemon::start("pipeline");
+    let reqs = [
+        r#"{"cmd":"analyze","workload":"mmt","n":48,"mode":"exact","store":false}"#,
+        r#"{"cmd":"analyze","workload":"hydro","n":40,"mode":"exact","store":false}"#,
+        r#"{"cmd":"analyze","workload":"mmt","n":16,"mode":"exact","store":false}"#,
+    ];
+
+    let mut raw = std::net::TcpStream::connect(daemon.addr).unwrap();
+    raw.write_all(format!("{}\n{}\n", reqs[0], reqs[1]).as_bytes())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    raw.write_all(format!("{}\n", reqs[2]).as_bytes()).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut pipelined = Vec::new();
+    for req in reqs {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{req} -> {line}");
+        pipelined.push(line.trim_end().to_string());
+    }
+
+    // Idle past a watcher poll, then reuse the connection: a socket left
+    // non-blocking would have made the request loop give up on it.
+    std::thread::sleep(Duration::from_millis(100));
+    raw.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    reader.read_line(&mut pong).unwrap();
+    assert!(pong.contains(r#""pong":true"#), "{pong}");
+
+    let mut separate = daemon.client();
+    for (req, line) in reqs.iter().zip(&pipelined) {
+        let single = separate.request_line(req).unwrap();
+        assert_eq!(report_bytes(line), report_bytes(&single), "{req}");
+    }
+    daemon.shutdown();
+}
+
+/// Everything a cold request pays outside the engine (parse, watcher
+/// start and stop, framing, the wire) is small next to the 40 ms a
+/// delayed ACK or a watcher waiting out its poll would add.
+#[test]
+fn cold_round_trip_overhead_beyond_engine_time_is_small() {
+    let daemon = Daemon::start("coldrtt");
+    let mut client = daemon.client();
+    let req = r#"{"cmd":"analyze","workload":"mmt","n":16,"mode":"exact","store":false}"#;
+    let mut overheads = Vec::new();
+    for _ in 0..10 {
+        let t = Instant::now();
+        let line = client.request_line(req).unwrap();
+        let rtt = t.elapsed();
+        let resp = Json::parse(&line).unwrap();
+        let metrics = resp.get("metrics").expect("metrics");
+        assert_eq!(metrics.get("store").unwrap().as_str(), Some("miss"));
+        let wall = Duration::from_micros(metrics.get("wall_us").unwrap().as_u64().unwrap());
+        overheads.push(rtt.saturating_sub(wall));
+    }
+    let p50 = median(overheads);
+    assert!(
+        p50 < Duration::from_millis(20),
+        "median round trip beyond engine time {p50:?} must stay under 20 ms"
+    );
+    daemon.shutdown();
+}

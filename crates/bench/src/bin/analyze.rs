@@ -22,14 +22,11 @@
 //! * `--threads <n>` — worker threads for point classification
 //!   (0 or absent = one per hardware thread; 1 = serial). The report is
 //!   byte-identical for every value.
-//! * `--prepass <on|off>` — the definitely-hit/definitely-miss pre-pass
-//!   (default on). Pure accelerator: the report is byte-identical either
-//!   way.
 //! * `--symbolic` — count closed-form references symbolically instead of
 //!   walking their iteration points (default off). Falls back per
 //!   reference; the report is byte-identical either way.
 
-use cme_analysis::{EstimateMisses, FindMisses, PrepassMode, SamplingOptions, SymbolicMode};
+use cme_analysis::{EstimateMisses, FindMisses, SamplingOptions, SymbolicMode};
 use cme_cache::{CacheConfig, Simulator};
 use cme_ir::Program;
 use std::collections::HashMap;
@@ -115,11 +112,6 @@ fn main() -> ExitCode {
     );
 
     let threads = cme_bench::threads_from_args();
-    let prepass = match get("--prepass").as_deref() {
-        None | Some("on") => PrepassMode::On,
-        Some("off") => PrepassMode::Off,
-        Some(other) => return fail(&format!("unknown prepass mode `{other}`")),
-    };
     let symbolic = if has("--symbolic") {
         SymbolicMode::On
     } else {
@@ -128,13 +120,11 @@ fn main() -> ExitCode {
     let report = if has("--exact") {
         FindMisses::new(&program, cfg)
             .threads(threads)
-            .prepass(prepass)
             .symbolic(symbolic)
             .run()
     } else {
         let opts = SamplingOptions {
             threads,
-            prepass,
             symbolic,
             ..SamplingOptions::paper_default()
         };

@@ -1,8 +1,10 @@
-//! Timing harness for the set-conscious interference walk: runs
-//! `FindMisses` under both walk strategies (legacy full scan vs the
-//! congruence skip-walk with contention-bound early exit), serially and
-//! with the full worker pool, verifies all reports agree point-for-point,
-//! and writes the numbers to `BENCH_classify.json`.
+//! Timing harness for the set-conscious interference walk: classifies
+//! every point serially through the `Classifier` under both walk
+//! strategies (legacy full scan vs the congruence skip-walk with
+//! contention-bound early exit, neither helped by the pre-pass), times the
+//! production `FindMisses` pipeline serially and with the full worker
+//! pool, verifies all per-reference tallies agree, and writes the numbers
+//! to `BENCH_classify.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_classify --release -- \
@@ -13,9 +15,11 @@
 //! Hydro 100×100, MGRID 100); the default `small` is a CI smoke size.
 //! `--skip-legacy` omits the legacy-scan timing (it dominates wall clock
 //! at paper scale) — the reported speedup then compares against a prior
-//! recorded baseline instead of a fresh one.
+//! recorded baseline instead of a fresh one. `speedup` is legacy scan over
+//! skip-walk, both walking every point.
 
-use cme_analysis::{FindMisses, Report, Threads, WalkStrategy};
+use cme_analysis::parallel::Tally;
+use cme_analysis::{Classifier, FindMisses, Report, Scratch, Threads, WalkStrategy};
 use cme_bench::{timed, Scale, Table};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
@@ -27,22 +31,56 @@ struct Row {
     points: u64,
     legacy_serial: Option<Duration>,
     skip_serial: Duration,
-    skip_parallel: Duration,
+    pipeline_serial: Duration,
+    pipeline_parallel: Duration,
 }
 
-fn run(
+/// Per-reference tallies from walking every point serially under `walk`.
+fn walk_all(
     program: &Program,
     reuse: &ReuseAnalysis,
     cfg: CacheConfig,
     walk: WalkStrategy,
+) -> (Vec<Tally>, Duration) {
+    timed(|| {
+        let classifier = Classifier::new(program, reuse, cfg).with_strategy(walk);
+        let mut scratch = Scratch::new();
+        (0..program.references().len())
+            .map(|r| {
+                let mut tally = Tally::default();
+                program.ris(r).for_each_point(|point| {
+                    tally.bump(classifier.classify_with_scratch(r, point, &mut scratch));
+                });
+                tally
+            })
+            .collect()
+    })
+}
+
+/// The production pipeline: symbolic tier off, pre-pass, set-skip walk.
+fn pipeline(
+    program: &Program,
+    reuse: &ReuseAnalysis,
+    cfg: CacheConfig,
     threads: Threads,
 ) -> (Report, Duration) {
     timed(|| {
         FindMisses::with_reuse(program, cfg, reuse.clone())
-            .strategy(walk)
             .threads(threads)
             .run()
     })
+}
+
+fn tallies(report: &Report) -> Vec<Tally> {
+    report
+        .references()
+        .iter()
+        .map(|r| Tally {
+            cold: r.cold,
+            replacement: r.replacement,
+            hits: r.hits,
+        })
+        .collect()
 }
 
 fn main() {
@@ -93,47 +131,42 @@ fn main() {
         // Reuse vectors are shared; only classification is being timed.
         let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
 
-        let (skip_s, skip_s_t) = run(
-            program,
-            &reuse,
-            cfg,
-            WalkStrategy::SetSkip,
-            Threads::Fixed(1),
-        );
-        eprintln!("{name}: set-skip serial {skip_s_t:?}");
-        let (skip_p, skip_p_t) = run(program, &reuse, cfg, WalkStrategy::SetSkip, threads);
-        eprintln!("{name}: set-skip {nthreads}-thread {skip_p_t:?}");
+        let (skip, skip_t) = walk_all(program, &reuse, cfg, WalkStrategy::SetSkip);
+        eprintln!("{name}: set-skip walk, serial {skip_t:?}");
+        let (pipe_s, pipe_s_t) = pipeline(program, &reuse, cfg, Threads::Fixed(1));
+        eprintln!("{name}: pipeline serial {pipe_s_t:?}");
+        let (pipe_p, pipe_p_t) = pipeline(program, &reuse, cfg, threads);
+        eprintln!("{name}: pipeline {nthreads}-thread {pipe_p_t:?}");
         assert_eq!(
-            skip_s.references(),
-            skip_p.references(),
-            "{name}: serial and parallel skip-walk reports diverged"
+            pipe_s.references(),
+            pipe_p.references(),
+            "{name}: serial and parallel pipeline reports diverged"
+        );
+        assert_eq!(
+            skip,
+            tallies(&pipe_s),
+            "{name}: skip-walk and pipeline tallies diverged"
         );
 
         let legacy_t = if skip_legacy {
             None
         } else {
-            let (legacy, t) = run(
-                program,
-                &reuse,
-                cfg,
-                WalkStrategy::LegacyScan,
-                Threads::Fixed(1),
-            );
-            eprintln!("{name}: legacy serial {t:?}");
+            let (legacy, t) = walk_all(program, &reuse, cfg, WalkStrategy::LegacyScan);
+            eprintln!("{name}: legacy-scan walk, serial {t:?}");
             assert_eq!(
-                skip_s.references(),
-                legacy.references(),
-                "{name}: skip-walk and legacy-scan reports diverged"
+                skip, legacy,
+                "{name}: skip-walk and legacy-scan tallies diverged"
             );
             Some(t)
         };
 
         rows.push(Row {
             workload: name.clone(),
-            points: skip_s.total_accesses(),
+            points: pipe_s.total_accesses(),
             legacy_serial: legacy_t,
-            skip_serial: skip_s_t,
-            skip_parallel: skip_p_t,
+            skip_serial: skip_t,
+            pipeline_serial: pipe_s_t,
+            pipeline_parallel: pipe_p_t,
         });
     }
 
@@ -142,34 +175,37 @@ fn main() {
         "points",
         "legacy-serial (s)",
         "skip-serial (s)",
-        "skip-parallel (s)",
         "speedup",
+        "pipeline-serial (s)",
+        "pipeline-parallel (s)",
         "Mpts/s",
     ]);
     let mut json_rows = Vec::new();
     for r in &rows {
         let skip_s = r.skip_serial.as_secs_f64();
         let speedup = r.legacy_serial.map(|t| t.as_secs_f64() / skip_s.max(1e-9));
-        let pps = r.points as f64 / skip_s.max(1e-9);
+        let pps = r.points as f64 / r.pipeline_serial.as_secs_f64().max(1e-9);
         table.row(vec![
             r.workload.clone(),
             r.points.to_string(),
             r.legacy_serial.map_or("-".into(), cme_bench::secs),
             cme_bench::secs(r.skip_serial),
-            cme_bench::secs(r.skip_parallel),
             speedup.map_or("-".into(), |s| format!("{s:.2}x")),
+            cme_bench::secs(r.pipeline_serial),
+            cme_bench::secs(r.pipeline_parallel),
             format!("{:.2}", pps / 1e6),
         ]);
         json_rows.push(format!(
             "    {{\"workload\": \"{}\", \"points\": {}, \"legacy_serial_ms\": {}, \
-             \"skip_serial_ms\": {:.1}, \"skip_parallel_ms\": {:.1}, \
-             \"points_per_sec\": {:.0}{}}}",
+             \"skip_serial_ms\": {:.1}, \"pipeline_serial_ms\": {:.1}, \
+             \"pipeline_parallel_ms\": {:.1}, \"points_per_sec\": {:.0}{}}}",
             r.workload,
             r.points,
             r.legacy_serial
                 .map_or("null".into(), |t| format!("{:.1}", t.as_secs_f64() * 1e3)),
-            r.skip_serial.as_secs_f64() * 1e3,
-            r.skip_parallel.as_secs_f64() * 1e3,
+            skip_s * 1e3,
+            r.pipeline_serial.as_secs_f64() * 1e3,
+            r.pipeline_parallel.as_secs_f64() * 1e3,
             pps,
             speedup.map_or(String::new(), |s| format!(", \"speedup\": {s:.2}")),
         ));

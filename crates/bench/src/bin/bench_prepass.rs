@@ -1,8 +1,10 @@
-//! Timing harness for the definitely-hit/definitely-miss pre-pass: runs
-//! cold `FindMisses` (set-skip walk, serial) with the pre-pass off and on,
-//! verifies the reports agree point-for-point, records the resolution rate
-//! (share of points the pre-pass settled without an interference walk) and
-//! writes the numbers to `BENCH_prepass.json`.
+//! Timing harness for the definitely-hit/definitely-miss pre-pass: times
+//! cold serial `FindMisses` (whose pipeline runs the pre-pass) against the
+//! same classification without it — a serial
+//! `Classifier::classify_with_scratch` loop over every point — verifies
+//! the per-reference tallies agree, records the resolution rate (share of
+//! points the pre-pass settled without an interference walk) and writes
+//! the numbers to `BENCH_prepass.json`.
 //!
 //! ```text
 //! cargo run -p cme-bench --bin bench_prepass --release -- \
@@ -18,7 +20,8 @@
 //! * Pre-pass-on wall ≤ pre-pass-off wall on MMT (best-of-2 each) — the
 //!   pre-pass must pay for itself where it resolves.
 
-use cme_analysis::{FindMisses, PrepassMode, Report, Threads, WalkStrategy};
+use cme_analysis::parallel::Tally;
+use cme_analysis::{Classifier, FindMisses, Report, Scratch, Threads};
 use cme_bench::{timed, Scale, Table};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
@@ -33,29 +36,35 @@ struct Row {
     on: Duration,
 }
 
-fn run(
-    program: &Program,
-    reuse: &ReuseAnalysis,
-    cfg: CacheConfig,
-    prepass: PrepassMode,
-) -> (Report, Duration) {
-    // Best of two: the second run rides warm caches, which is what the
-    // serve engine's steady state looks like.
-    let (a, ta) = timed(|| {
-        FindMisses::with_reuse(program, cfg, reuse.clone())
-            .strategy(WalkStrategy::SetSkip)
-            .threads(Threads::Fixed(1))
-            .prepass(prepass)
-            .run()
-    });
-    let (_, tb) = timed(|| {
-        FindMisses::with_reuse(program, cfg, reuse.clone())
-            .strategy(WalkStrategy::SetSkip)
-            .threads(Threads::Fixed(1))
-            .prepass(prepass)
-            .run()
-    });
+/// Best of two runs: the second rides warm caches, which is what the
+/// serve engine's steady state looks like.
+fn best_of_two<T>(f: impl Fn() -> T) -> (T, Duration) {
+    let (a, ta) = timed(&f);
+    let (_, tb) = timed(&f);
     (a, ta.min(tb))
+}
+
+/// The pipeline with the pre-pass on: serial `FindMisses`.
+fn with_prepass(program: &Program, reuse: &ReuseAnalysis, cfg: CacheConfig) -> Report {
+    FindMisses::with_reuse(program, cfg, reuse.clone())
+        .threads(Threads::Fixed(1))
+        .run()
+}
+
+/// The same classification with the pre-pass off: every point of every
+/// reference through the set-skip walk, serially.
+fn without_prepass(program: &Program, reuse: &ReuseAnalysis, cfg: CacheConfig) -> Vec<Tally> {
+    let classifier = Classifier::new(program, reuse, cfg);
+    let mut scratch = Scratch::new();
+    (0..program.references().len())
+        .map(|r| {
+            let mut tally = Tally::default();
+            program.ris(r).for_each_point(|point| {
+                tally.bump(classifier.classify_with_scratch(r, point, &mut scratch));
+            });
+            tally
+        })
+        .collect()
 }
 
 fn main() {
@@ -103,23 +112,26 @@ fn main() {
         // Reuse vectors are shared; only classification is being timed.
         let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
 
-        let (off, off_t) = run(program, &reuse, cfg, PrepassMode::Off);
+        let (off, off_t) = best_of_two(|| without_prepass(program, &reuse, cfg));
         eprintln!("{name}: prepass-off {off_t:?}");
-        let (on, on_t) = run(program, &reuse, cfg, PrepassMode::On);
+        let (on, on_t) = best_of_two(|| with_prepass(program, &reuse, cfg));
         let points: u64 = on.references().iter().map(|r| r.analyzed).sum();
         eprintln!(
             "{name}: prepass-on {on_t:?} ({}/{points} resolved)",
             on.prepass_resolved()
         );
+        let on_tallies: Vec<Tally> = on
+            .references()
+            .iter()
+            .map(|r| Tally {
+                cold: r.cold,
+                replacement: r.replacement,
+                hits: r.hits,
+            })
+            .collect();
         assert_eq!(
-            off.references(),
-            on.references(),
-            "{name}: prepass-on and prepass-off reports diverged"
-        );
-        assert_eq!(
-            off.prepass_resolved(),
-            0,
-            "{name}: off mode ran the pre-pass"
+            off, on_tallies,
+            "{name}: prepass-on and prepass-off tallies diverged"
         );
 
         rows.push(Row {

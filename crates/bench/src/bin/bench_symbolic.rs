@@ -30,8 +30,7 @@
 //!   workload, a parametric certificate hit with zero enumerated points.
 
 use cme_analysis::{
-    CancelToken, Classifier, FindMisses, PrepassMode, Report, SamplingOptions, Symbolic,
-    SymbolicMode, Threads, WalkStrategy,
+    CancelToken, Classifier, FindMisses, Report, SamplingOptions, Symbolic, SymbolicMode, Threads,
 };
 use cme_bench::{secs, timed, Scale, Table};
 use cme_cache::CacheConfig;
@@ -85,9 +84,7 @@ fn run(
     // engine's steady state.
     let once = || {
         FindMisses::with_reuse(program, cfg, reuse.clone())
-            .strategy(WalkStrategy::SetSkip)
             .threads(Threads::Fixed(1))
-            .prepass(PrepassMode::On)
             .symbolic(symbolic)
             .run()
     };

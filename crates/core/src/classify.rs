@@ -37,8 +37,10 @@ pub enum WalkStrategy {
     #[default]
     SetSkip,
     /// The pre-plan full interval scan (`walk_range_rev` over every access,
-    /// filtering by set in the callback). Kept as the reference
-    /// implementation; verdicts are bit-identical to [`WalkStrategy::SetSkip`].
+    /// filtering by set in the callback). Kept only as the reference the
+    /// tests and `bench_classify` compare against: no analysis entry point
+    /// selects it, and its verdicts are bit-identical to
+    /// [`WalkStrategy::SetSkip`].
     LegacyScan,
 }
 
@@ -181,9 +183,9 @@ impl<'p> Classifier<'p> {
     }
 
     /// Selects the interference-walk strategy (default
-    /// [`WalkStrategy::SetSkip`]). Verdicts are bit-identical for every
-    /// strategy; [`WalkStrategy::LegacyScan`] exists as the reference
-    /// implementation for differential testing.
+    /// [`WalkStrategy::SetSkip`], the only one the analyses use). Verdicts
+    /// are bit-identical for every strategy; [`WalkStrategy::LegacyScan`]
+    /// exists as the reference implementation for differential testing.
     pub fn with_strategy(mut self, walk: WalkStrategy) -> Self {
         self.walk = walk;
         self

@@ -3,11 +3,10 @@
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::classify::Classifier;
-use crate::options::{PrepassMode, SamplingOptions, SymbolicMode};
+use crate::ladder::Tallies;
+use crate::options::{SamplePlan, SamplingOptions};
 use crate::parallel;
-use crate::prepass;
-use crate::report::{Coverage, RefReport, Report};
-use crate::symbolic;
+use crate::report::Report;
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
@@ -92,72 +91,24 @@ impl<'p> EstimateMisses<'p> {
         let start = Instant::now();
         let classifier = Classifier::new(self.program, &self.reuse, self.config);
         let threads = self.options.threads.count();
-        let mut reports = Vec::with_capacity(self.program.references().len());
-        let mut points_done = 0u64;
-        let mut prepass_resolved = 0u64;
-        let mut symbolic_refs = 0u64;
-        let mut symbolic_points = 0u64;
+        let mut tallies = Tallies::default();
         for r in 0..self.program.references().len() {
             let ris = self.program.ris(r);
             let volume = ris.count();
-            let (tally, coverage) = match self.options.plan(volume) {
-                crate::options::SamplePlan::Exhaustive => {
-                    // Symbolic closure replaces only the exhaustive walk:
-                    // sampled references already cost O(samples), not
-                    // O(|RIS|), and closed counts equal the exhaustive
-                    // tally — so the report bytes cannot change.
-                    if self.options.symbolic == SymbolicMode::On {
-                        let sym = symbolic::analyze_reference(&classifier, r, cancel)
-                            .map_err(|_| Cancelled { points_done })?;
-                        if let Some(counts) = sym.counts() {
-                            symbolic_refs += 1;
-                            symbolic_points += counts.total();
-                            points_done += counts.total();
-                            reports.push(RefReport {
-                                r,
-                                ris_size: volume,
-                                analyzed: counts.total(),
-                                cold: counts.cold,
-                                replacement: counts.replacement,
-                                hits: counts.hits,
-                                coverage: Coverage::Exhaustive,
-                            });
-                            continue;
-                        }
-                    }
-                    // The pre-pass costs O(|RIS|); it pays for itself only
-                    // on exhaustively-analysed references. Sampled
-                    // references classify ~a few hundred points, so they
-                    // always take the plain walk.
-                    let verdicts = match self.options.prepass {
-                        PrepassMode::On => Some(
-                            prepass::analyze_reference(&classifier, r, cancel)
-                                .map_err(|_| Cancelled { points_done })?,
-                        ),
-                        PrepassMode::Off => None,
-                    };
-                    if let Some(v) = &verdicts {
-                        prepass_resolved += v.resolved();
-                    }
-                    (
-                        parallel::classify_exhaustive(
-                            &classifier,
-                            r,
-                            ris,
-                            threads,
-                            cancel,
-                            verdicts.as_ref(),
-                        )
-                        .ok_or(Cancelled { points_done })?,
-                        Coverage::Exhaustive,
-                    )
+            match self.options.plan(volume) {
+                // The symbolic tier and the pre-pass replace only the
+                // exhaustive walk: a sampled reference classifies a few
+                // hundred points, so tiers that cost O(rows) or O(|RIS|)
+                // cannot pay for themselves there.
+                SamplePlan::Exhaustive => {
+                    tallies.exhaustive(&classifier, r, self.options.symbolic, threads, cancel)?;
                 }
-                crate::options::SamplePlan::Sample(nsamples) => {
+                SamplePlan::Sample(nsamples) => {
                     // Per-reference deterministic seed; each sample chunk
                     // derives its own RNG stream from it, so the sampled
                     // point set is independent of the thread count.
                     let ref_seed = self.options.seed ^ (r as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                    parallel::classify_sampled(
+                    let (tally, coverage) = parallel::classify_sampled(
                         &classifier,
                         r,
                         ris,
@@ -166,29 +117,19 @@ impl<'p> EstimateMisses<'p> {
                         threads,
                         cancel,
                     )
-                    .ok_or(Cancelled { points_done })?
+                    .ok_or(tallies.cancelled())?;
+                    tallies.push(r, volume, tally, coverage);
                 }
-            };
-            points_done += tally.analyzed();
-            reports.push(RefReport {
-                r,
-                ris_size: volume,
-                analyzed: tally.analyzed(),
-                cold: tally.cold,
-                replacement: tally.replacement,
-                hits: tally.hits,
-                coverage,
-            });
+            }
         }
-        Ok(Report::new(reports, start.elapsed())
-            .with_prepass_resolved(prepass_resolved)
-            .with_symbolic_closed(symbolic_refs, symbolic_points))
+        Ok(tallies.finish(start.elapsed()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Coverage;
     use cme_cache::Simulator;
     use cme_ir::{LinExpr, ProgramBuilder, SNode, SRef};
 

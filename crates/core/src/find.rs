@@ -1,12 +1,10 @@
 //! `FindMisses`: exact analysis of every iteration point (Fig. 6, left).
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::classify::{Classifier, WalkStrategy};
-use crate::options::{PrepassMode, SymbolicMode, Threads};
-use crate::parallel;
-use crate::prepass;
-use crate::report::{Coverage, RefReport, Report};
-use crate::symbolic;
+use crate::classify::Classifier;
+use crate::ladder::Tallies;
+use crate::options::{SymbolicMode, Threads};
+use crate::report::Report;
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
@@ -41,8 +39,6 @@ pub struct FindMisses<'p> {
     config: CacheConfig,
     reuse: ReuseAnalysis,
     threads: Threads,
-    walk: WalkStrategy,
-    prepass: PrepassMode,
     symbolic: SymbolicMode,
 }
 
@@ -55,8 +51,6 @@ impl<'p> FindMisses<'p> {
             config,
             reuse,
             threads: Threads::default(),
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::default(),
         }
     }
@@ -69,8 +63,6 @@ impl<'p> FindMisses<'p> {
             config,
             reuse,
             threads: Threads::default(),
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::default(),
         }
     }
@@ -80,25 +72,6 @@ impl<'p> FindMisses<'p> {
     /// the legacy serial path.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the interference-walk strategy (default
-    /// [`WalkStrategy::SetSkip`]). Verdicts — and therefore reports — are
-    /// bit-identical for every strategy; the knob exists for differential
-    /// testing and benchmarking against the legacy full scan.
-    pub fn strategy(mut self, walk: WalkStrategy) -> Self {
-        self.walk = walk;
-        self
-    }
-
-    /// Enables or disables the definitely-hit/definitely-miss pre-pass
-    /// (default [`PrepassMode::On`]). The pre-pass resolves points only to
-    /// the verdict the exact walk would reach, so the report is
-    /// byte-identical for both settings; `Off` exists for differential
-    /// testing and timing comparisons.
-    pub fn prepass(mut self, mode: PrepassMode) -> Self {
-        self.prepass = mode;
         self
     }
 
@@ -129,68 +102,13 @@ impl<'p> FindMisses<'p> {
     /// completed references had been classified.
     pub fn run_cancellable(&self, cancel: &CancelToken) -> Result<Report, Cancelled> {
         let start = Instant::now();
-        let classifier =
-            Classifier::new(self.program, &self.reuse, self.config).with_strategy(self.walk);
+        let classifier = Classifier::new(self.program, &self.reuse, self.config);
         let threads = self.threads.count();
-        let mut reports = Vec::with_capacity(self.program.references().len());
-        let mut points_done = 0u64;
-        let mut prepass_resolved = 0u64;
-        let mut symbolic_refs = 0u64;
-        let mut symbolic_points = 0u64;
+        let mut tallies = Tallies::default();
         for r in 0..self.program.references().len() {
-            let ris = self.program.ris(r);
-            if self.symbolic == SymbolicMode::On {
-                let sym = symbolic::analyze_reference(&classifier, r, cancel)
-                    .map_err(|_| Cancelled { points_done })?;
-                if let Some(counts) = sym.counts() {
-                    symbolic_refs += 1;
-                    symbolic_points += counts.total();
-                    points_done += counts.total();
-                    reports.push(RefReport {
-                        r,
-                        ris_size: counts.total(),
-                        analyzed: counts.total(),
-                        cold: counts.cold,
-                        replacement: counts.replacement,
-                        hits: counts.hits,
-                        coverage: Coverage::Exhaustive,
-                    });
-                    continue;
-                }
-            }
-            let verdicts = match self.prepass {
-                PrepassMode::On => Some(
-                    prepass::analyze_reference(&classifier, r, cancel)
-                        .map_err(|_| Cancelled { points_done })?,
-                ),
-                PrepassMode::Off => None,
-            };
-            if let Some(v) = &verdicts {
-                prepass_resolved += v.resolved();
-            }
-            let tally = parallel::classify_exhaustive(
-                &classifier,
-                r,
-                ris,
-                threads,
-                cancel,
-                verdicts.as_ref(),
-            )
-            .ok_or(Cancelled { points_done })?;
-            points_done += tally.analyzed();
-            reports.push(RefReport {
-                r,
-                ris_size: tally.analyzed(),
-                analyzed: tally.analyzed(),
-                cold: tally.cold,
-                replacement: tally.replacement,
-                hits: tally.hits,
-                coverage: Coverage::Exhaustive,
-            });
+            tallies.exhaustive(&classifier, r, self.symbolic, threads, cancel)?;
         }
-        Ok(Report::new(reports, start.elapsed())
-            .with_prepass_resolved(prepass_resolved)
-            .with_symbolic_closed(symbolic_refs, symbolic_points))
+        Ok(tallies.finish(start.elapsed()))
     }
 }
 

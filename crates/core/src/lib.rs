@@ -45,6 +45,7 @@ pub mod cancel;
 pub mod classify;
 pub mod estimate;
 pub mod find;
+mod ladder;
 pub mod options;
 pub mod parallel;
 pub mod prepass;
@@ -56,7 +57,7 @@ pub use cancel::{CancelToken, Cancelled};
 pub use classify::{Classifier, PointClass, Scratch, WalkStrategy};
 pub use estimate::EstimateMisses;
 pub use find::FindMisses;
-pub use options::{PrepassMode, SamplingOptions, SymbolicMode, Threads};
+pub use options::{SamplingOptions, SymbolicMode, Threads};
 pub use prepass::{Prepass, RefVerdicts, Verdict};
 pub use report::{Coverage, RefReport, Report};
 pub use sweep::{SweepOptions, SweepPlan};

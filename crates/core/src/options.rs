@@ -36,33 +36,26 @@ impl Threads {
     }
 }
 
-/// Whether the definitely-hit/definitely-miss pre-pass runs before the
-/// exact walk (`crate::prepass`, DESIGN.md §12).
-///
-/// The pre-pass only ever resolves points to the verdict the exact walk
-/// would reach, so reports are **byte-identical** for both settings (and
-/// for every thread count and walk strategy); the knob only trades analysis
-/// wall-clock time. `Off` exists for differential testing and timing
-/// comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrepassMode {
-    /// Run the pre-pass; resolved points skip the interference walk. The
-    /// default.
-    #[default]
-    On,
-    /// Classify every point with the exact walk.
-    Off,
-}
-
 /// Whether the symbolic miss-equation tier (`crate::symbolic`,
 /// DESIGN.md §13) answers references in closed form before enumeration.
 ///
 /// The tier only ever returns the totals the exact walk would tally, and
 /// falls back per reference wherever its closure conditions fail, so
-/// reports are **byte-identical** for both settings (and across threads,
-/// walk strategies and prepass modes). `On` makes closed references cost
-/// `O(rows)` instead of `O(points)`; `Off` (the default) keeps the
-/// enumerated path everywhere.
+/// reports are **byte-identical** for both settings (and across thread
+/// counts). `On` makes closed references cost `O(rows)` instead of
+/// `O(points)`; `Off` keeps the pre-pass and walk for every reference.
+///
+/// The default differs by verb, and that split is measured, not
+/// accidental. Single analyses (`FindMisses`, `EstimateMisses`, the
+/// service's `analyze`) default to `Off`; sweeps (`SweepOptions`, the
+/// service's `sweep`) default to `On`, because one closed reference pays
+/// off across every cell of a grid. Turning the tier on for single
+/// analyses as well was measured with the repository benchmark (30 s runs,
+/// four seeds, on a 2-vCPU host): `serve-mixed` pass time rose 22% (1.15 →
+/// 1.41 s, 4/4 pairs worse), `whole-estimate` 4% (26.3 → 27.3 s, 3/3
+/// worse), and `paper-exact` was unresolved (8.16 → 8.28 s, 2 better, 2
+/// worse). Each setting wins somewhere, so the choice stays per verb until
+/// it can be made from something the code observes, such as problem size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SymbolicMode {
     /// Answer closed references from the symbolic tier; enumerate the rest.
@@ -99,9 +92,6 @@ pub struct SamplingOptions {
     /// every setting (the sample set and the reduction are both
     /// deterministic); only wall-clock time changes.
     pub threads: Threads,
-    /// Whether the hit/miss pre-pass runs before exhaustively-analysed
-    /// references. Reports are byte-identical for both settings.
-    pub prepass: PrepassMode,
     /// Whether exhaustively-analysed references may be answered by the
     /// symbolic tier. Reports are byte-identical for both settings;
     /// sampled references are never affected.
@@ -127,7 +117,6 @@ impl SamplingOptions {
             seed: 0xC0FFEE,
             fallback: None,
             threads: Threads::Auto,
-            prepass: PrepassMode::On,
             symbolic: SymbolicMode::Off,
         }
     }
@@ -153,7 +142,6 @@ impl SamplingOptions {
                         seed: self.seed,
                         fallback: None,
                         threads: self.threads,
-                        prepass: self.prepass,
                         symbolic: self.symbolic,
                     };
                     if let Some(n) = coarse.sample_size(population) {
@@ -260,7 +248,6 @@ mod tests {
             seed: 0,
             fallback: None,
             threads: Threads::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::default(),
         }
     }

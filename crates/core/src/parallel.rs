@@ -201,70 +201,91 @@ impl Tally {
 /// [`CHUNK_POINTS`]-sized chunks and reduced in chunk order. Small spaces
 /// take the serial path directly.
 ///
-/// When pre-pass `verdicts` are supplied, resolved points skip the
-/// interference walk and bump the tally directly. The chunk layout, the
-/// cancellation checks and the index-ordered reduction still cover the
-/// full index space, and resolved points count exactly what the walk
-/// would, so reports stay byte-identical with or without verdicts.
+/// Points the pre-pass `verdicts` resolve skip the interference walk and
+/// bump the tally directly. The chunk layout, the cancellation checks and
+/// the index-ordered reduction still cover the full index space, and
+/// resolved points count exactly what the walk would, so the tally does
+/// not depend on how much the pre-pass resolved.
 pub(crate) fn classify_exhaustive(
     classifier: &Classifier<'_>,
     r: RefId,
-    ris: &Space,
     threads: usize,
     cancel: &CancelToken,
-    verdicts: Option<&RefVerdicts>,
+    verdicts: &RefVerdicts,
 ) -> Option<Tally> {
     let dim = classifier.program().depth();
-    let serial_tally = || {
-        let mut tally = Tally::default();
-        let mut scratch = Scratch::new();
-        let mut cursor = 0usize;
-        ris.for_each_point(
-            |point| match verdicts.and_then(|v| v.lookup(point, &mut cursor)) {
-                Some(v) => tally.bump_verdict(v),
-                None => tally.bump(classifier.classify_with_scratch(r, point, &mut scratch)),
-            },
-        );
-        tally
-    };
-    // The non-cancellable serial paths stay allocation-free exactly as
-    // before; a live token always goes through the chunked route so the
-    // per-chunk checks happen even on one thread.
+    // The non-cancellable serial paths stay allocation-free; a live token
+    // always goes through the chunked route so the per-chunk checks happen
+    // even on one thread.
     if (threads <= 1 || dim == 0) && !cancel.can_cancel() {
-        return Some(serial_tally());
+        return Some(walk_serial(classifier, r, verdicts));
     }
     if dim == 0 {
         if cancel.is_cancelled() {
             return None;
         }
-        return Some(serial_tally());
+        return Some(walk_serial(classifier, r, verdicts));
     }
     let (flat, npoints) = classifier.program().flat_ris(r);
     if npoints <= CHUNK_POINTS && !cancel.can_cancel() {
-        return Some(serial_tally());
+        return Some(walk_serial(classifier, r, verdicts));
     }
     let nchunks = npoints.div_ceil(CHUNK_POINTS).max(1);
     let tallies =
         run_chunked_cancellable(threads, nchunks, cancel, Scratch::new, |scratch, ci| {
-            let lo = ci * CHUNK_POINTS;
-            let hi = npoints.min(lo + CHUNK_POINTS);
-            let mut tally = Tally::default();
-            // Chunks are contiguous lex ranges, so one binary search positions
-            // the verdict cursor and the per-point lookups advance linearly.
-            let mut cursor = verdicts.map_or(0, |v| v.cursor_at(&flat[lo * dim..(lo + 1) * dim]));
-            for point in flat[lo * dim..hi * dim].chunks_exact(dim) {
-                match verdicts.and_then(|v| v.lookup(point, &mut cursor)) {
-                    Some(v) => tally.bump_verdict(v),
-                    None => tally.bump(classifier.classify_with_scratch(r, point, scratch)),
-                }
-            }
-            tally
+            walk_chunk(classifier, r, &flat, ci, verdicts, scratch)
         })?;
     let mut total = Tally::default();
     for t in tallies {
         total.merge(t);
     }
     Some(total)
+}
+
+/// Walks every point of `RIS_r` on the calling thread, in lexicographic
+/// order, consulting `verdicts` first.
+pub(crate) fn walk_serial(classifier: &Classifier<'_>, r: RefId, verdicts: &RefVerdicts) -> Tally {
+    let mut tally = Tally::default();
+    let mut scratch = Scratch::new();
+    let mut cursor = 0usize;
+    classifier
+        .program()
+        .ris(r)
+        .for_each_point(|point| match verdicts.lookup(point, &mut cursor) {
+            Some(v) => tally.bump_verdict(v),
+            None => tally.bump(classifier.classify_with_scratch(r, point, &mut scratch)),
+        });
+    tally
+}
+
+/// Walks chunk `ci` ([`CHUNK_POINTS`] points) of the flat row-major
+/// buffer `flat` of `RIS_r`, consulting `verdicts` first.
+pub(crate) fn walk_chunk(
+    classifier: &Classifier<'_>,
+    r: RefId,
+    flat: &[i64],
+    ci: usize,
+    verdicts: &RefVerdicts,
+    scratch: &mut Scratch,
+) -> Tally {
+    let dim = classifier.program().depth();
+    let npoints = flat.len() / dim;
+    let lo = ci * CHUNK_POINTS;
+    let hi = npoints.min(lo + CHUNK_POINTS);
+    let mut tally = Tally::default();
+    if lo >= hi {
+        return tally;
+    }
+    // Chunks are contiguous lex ranges, so one binary search positions the
+    // verdict cursor and the per-point lookups advance linearly.
+    let mut cursor = verdicts.cursor_at(&flat[lo * dim..(lo + 1) * dim]);
+    for point in flat[lo * dim..hi * dim].chunks_exact(dim) {
+        match verdicts.lookup(point, &mut cursor) {
+            Some(v) => tally.bump_verdict(v),
+            None => tally.bump(classifier.classify_with_scratch(r, point, scratch)),
+        }
+    }
+    tally
 }
 
 /// Classifies a deterministic uniform sample of `RIS_r` on `threads`

@@ -56,8 +56,8 @@ impl RefReport {
 pub struct Report {
     per_ref: Vec<RefReport>,
     elapsed: std::time::Duration,
-    /// Points resolved by the hit/miss pre-pass (0 when it was off).
-    /// Diagnostic only: deliberately absent from [`Report::render`], whose
+    /// Points resolved by the hit/miss pre-pass (sampled references and
+    /// symbolically closed ones never consult it). Diagnostic only: deliberately absent from [`Report::render`], whose
     /// bytes must not depend on how points were classified.
     prepass_resolved: u64,
     /// References the symbolic tier counted in closed form (0 when it was
@@ -91,7 +91,7 @@ impl Report {
     }
 
     /// Points the hit/miss pre-pass resolved without an interference walk
-    /// (0 when the pre-pass was off or resolved nothing).
+    /// (0 when it resolved nothing).
     pub fn prepass_resolved(&self) -> u64 {
         self.prepass_resolved
     }

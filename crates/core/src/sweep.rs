@@ -16,13 +16,12 @@
 //!   its flat row buffer *once* ([`Program::flat_ris`]) and every
 //!   geometry's chunked walk indexes the same rows.
 //!
-//! Per geometry, classification runs through the existing accelerating
-//! tiers in the same order as [`crate::FindMisses`]: the symbolic tier
-//! first (closed references never touch the rows), then the hit/miss
-//! pre-pass, then the chunked exact walk — fanned out over
-//! *(geometry, chunk)* work items on the parallel engine, so a grid
-//! keeps every worker busy even when single references split into few
-//! chunks.
+//! Per geometry, classification climbs the same ladder as
+//! [`crate::FindMisses`]: the symbolic tier first (closed references never
+//! touch the rows), then the hit/miss pre-pass, then the chunked exact
+//! walk — fanned out over *(geometry, chunk)* work items on the parallel
+//! engine, so a grid keeps every worker busy even when single references
+//! split into few chunks.
 //!
 //! # Correctness contract
 //!
@@ -34,26 +33,24 @@
 //! below and the `bench_sweep` CI gate assert exactly this.
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::classify::{Classifier, Scratch, WalkStrategy};
-use crate::options::{PrepassMode, SymbolicMode, Threads};
+use crate::classify::{Classifier, Scratch};
+use crate::ladder::{self, Rung, Tallies};
+use crate::options::{SymbolicMode, Threads};
 use crate::parallel::{self, Tally, CHUNK_POINTS};
-use crate::prepass::{self, RefVerdicts};
-use crate::report::{Coverage, RefReport, Report};
-use crate::symbolic;
+use crate::prepass::RefVerdicts;
+use crate::report::Report;
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use cme_reuse::ReuseAnalysis;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs of a sweep run. All four are pure accelerators: results are
+/// Knobs of a sweep run. Both are pure accelerators: results are
 /// byte-identical across every combination (the differential tests
 /// assert it), exactly as for [`crate::FindMisses`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
     pub threads: Threads,
-    pub walk: WalkStrategy,
-    pub prepass: PrepassMode,
     /// Defaults to **on** for sweeps (unlike single queries): closed
     /// references skip the per-geometry walk entirely, which is where a
     /// grid's multiplicative win lives.
@@ -64,8 +61,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             threads: Threads::default(),
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::On,
         }
     }
@@ -158,45 +153,23 @@ impl<'p> SweepPlan<'p> {
                 let reuse = self
                     .reuse_for(g.line_bytes())
                     .expect("sweep plan must cover every line size of the grid");
-                Classifier::new(self.program, reuse, g).with_strategy(opts.walk)
+                Classifier::new(self.program, reuse, g)
             })
             .collect();
-        let mut cells: Vec<CellAcc> = geometries.iter().map(|_| CellAcc::default()).collect();
-        let mut points_done: u64 = 0;
+        let mut cells: Vec<Tallies> = geometries.iter().map(|_| Tallies::default()).collect();
+        let cancelled = |cells: &[Tallies]| Cancelled {
+            points_done: cells.iter().map(Tallies::points_done).sum(),
+        };
 
         for r in 0..nrefs {
-            // Geometry-dependent tiers first: symbolic closure, then the
-            // pre-pass. Cells the tiers do not finish stay pending and
-            // share one flat row buffer below.
-            let mut pending: Vec<(usize, Option<RefVerdicts>)> = Vec::new();
+            // The tiers ahead of the walk run per geometry. Cells they do
+            // not finish stay pending and share one flat row buffer below.
+            let mut pending: Vec<(usize, RefVerdicts)> = Vec::new();
             for (ci, cl) in classifiers.iter().enumerate() {
-                if opts.symbolic == SymbolicMode::On {
-                    let sym = symbolic::analyze_reference(cl, r, cancel)
-                        .map_err(|_| Cancelled { points_done })?;
-                    if let Some(counts) = sym.counts() {
-                        points_done += counts.total();
-                        cells[ci].reports.push(RefReport {
-                            r,
-                            ris_size: counts.total(),
-                            analyzed: counts.total(),
-                            cold: counts.cold,
-                            replacement: counts.replacement,
-                            hits: counts.hits,
-                            coverage: Coverage::Exhaustive,
-                        });
-                        cells[ci].symbolic_refs += 1;
-                        cells[ci].symbolic_points += counts.total();
-                        continue;
-                    }
+                match ladder::climb(cl, r, opts.symbolic, cancel).map_err(|_| cancelled(&cells))? {
+                    Rung::Closed(counts) => cells[ci].push_closed(r, counts),
+                    Rung::Walk(verdicts) => pending.push((ci, verdicts)),
                 }
-                let verdicts = match opts.prepass {
-                    PrepassMode::On => Some(
-                        prepass::analyze_reference(cl, r, cancel)
-                            .map_err(|_| Cancelled { points_done })?,
-                    ),
-                    PrepassMode::Off => None,
-                };
-                pending.push((ci, verdicts));
             }
             if pending.is_empty() {
                 continue;
@@ -205,15 +178,13 @@ impl<'p> SweepPlan<'p> {
             // Enumerate the reference's iteration rows once for every
             // pending geometry.
             let (flat, npoints) = self.program.flat_ris(r);
-            let dim = self.program.depth();
-            if dim == 0 {
+            if self.program.depth() == 0 {
                 for (ci, verdicts) in &pending {
                     if cancel.is_cancelled() {
-                        return Err(Cancelled { points_done });
+                        return Err(cancelled(&cells));
                     }
-                    let tally = zero_dim_tally(&classifiers[*ci], r, verdicts.as_ref());
-                    points_done += tally.analyzed();
-                    cells[*ci].push_walked(r, tally, verdicts.as_ref());
+                    let tally = parallel::walk_serial(&classifiers[*ci], r, verdicts);
+                    cells[*ci].push_walked(r, tally, verdicts);
                 }
                 continue;
             }
@@ -232,83 +203,29 @@ impl<'p> SweepPlan<'p> {
                 Scratch::new,
                 |scratch, i| {
                     let (ci, verdicts) = &pending[i / nchunks];
-                    let cl = &classifiers[*ci];
-                    let verdicts = verdicts.as_ref();
-                    let lo = (i % nchunks) * CHUNK_POINTS;
-                    let hi = npoints.min(lo + CHUNK_POINTS);
-                    let mut tally = Tally::default();
-                    let mut cursor =
-                        verdicts.map_or(0, |v| v.cursor_at(&flat[lo * dim..(lo + 1) * dim]));
-                    for point in flat[lo * dim..hi * dim].chunks_exact(dim) {
-                        match verdicts.and_then(|v| v.lookup(point, &mut cursor)) {
-                            Some(v) => tally.bump_verdict(v),
-                            None => tally.bump(cl.classify_with_scratch(r, point, scratch)),
-                        }
-                    }
-                    tally
+                    parallel::walk_chunk(
+                        &classifiers[*ci],
+                        r,
+                        &flat,
+                        i % nchunks,
+                        verdicts,
+                        scratch,
+                    )
                 },
             )
-            .ok_or(Cancelled { points_done })?;
+            .ok_or_else(|| cancelled(&cells))?;
             for (p, (ci, verdicts)) in pending.iter().enumerate() {
                 let mut total = Tally::default();
                 for t in &tallies[p * nchunks..(p + 1) * nchunks] {
                     total.merge(*t);
                 }
-                points_done += total.analyzed();
-                cells[*ci].push_walked(r, total, verdicts.as_ref());
+                cells[*ci].push_walked(r, total, verdicts);
             }
         }
 
         let elapsed = start.elapsed();
-        Ok(cells
-            .into_iter()
-            .map(|c| {
-                Report::new(c.reports, elapsed)
-                    .with_prepass_resolved(c.prepass_resolved)
-                    .with_symbolic_closed(c.symbolic_refs, c.symbolic_points)
-            })
-            .collect())
+        Ok(cells.into_iter().map(|c| c.finish(elapsed)).collect())
     }
-}
-
-/// Per-geometry accumulator while the sweep walks the reference list.
-#[derive(Debug, Default)]
-struct CellAcc {
-    reports: Vec<RefReport>,
-    prepass_resolved: u64,
-    symbolic_refs: u64,
-    symbolic_points: u64,
-}
-
-impl CellAcc {
-    fn push_walked(&mut self, r: cme_ir::RefId, tally: Tally, verdicts: Option<&RefVerdicts>) {
-        if let Some(v) = verdicts {
-            self.prepass_resolved += v.resolved();
-        }
-        self.reports.push(RefReport {
-            r,
-            ris_size: tally.analyzed(),
-            analyzed: tally.analyzed(),
-            cold: tally.cold,
-            replacement: tally.replacement,
-            hits: tally.hits,
-            coverage: Coverage::Exhaustive,
-        });
-    }
-}
-
-/// The serial walk for zero-depth programs (no rows to chunk).
-fn zero_dim_tally(cl: &Classifier<'_>, r: cme_ir::RefId, verdicts: Option<&RefVerdicts>) -> Tally {
-    let mut tally = Tally::default();
-    let mut scratch = Scratch::new();
-    let mut cursor = 0usize;
-    cl.program().ris(r).for_each_point(|point| {
-        match verdicts.and_then(|v| v.lookup(point, &mut cursor)) {
-            Some(v) => tally.bump_verdict(v),
-            None => tally.bump(cl.classify_with_scratch(r, point, &mut scratch)),
-        }
-    });
-    tally
 }
 
 #[cfg(test)]
@@ -377,8 +294,8 @@ mod tests {
         }
     }
 
-    /// Sweep results are invariant across threads x strategy x
-    /// prepass/symbolic modes — the same contract `FindMisses` holds.
+    /// Sweep results are invariant across threads x symbolic modes — the
+    /// same contract `FindMisses` holds.
     #[test]
     fn sweep_is_mode_invariant() {
         let p = kernel(16);
@@ -386,20 +303,11 @@ mod tests {
         let plan = SweepPlan::new(&p, &grid);
         let baseline = plan.run(&grid, &SweepOptions::default());
         for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
-            for walk in [WalkStrategy::SetSkip, WalkStrategy::LegacyScan] {
-                for prepass in [PrepassMode::On, PrepassMode::Off] {
-                    for symbolic in [SymbolicMode::On, SymbolicMode::Off] {
-                        let opts = SweepOptions {
-                            threads,
-                            walk,
-                            prepass,
-                            symbolic,
-                        };
-                        let got = plan.run(&grid, &opts);
-                        for ((g, a), b) in grid.iter().zip(&baseline).zip(&got) {
-                            assert_reports_equal(a, b, &format!("{g} {opts:?}"));
-                        }
-                    }
+            for symbolic in [SymbolicMode::On, SymbolicMode::Off] {
+                let opts = SweepOptions { threads, symbolic };
+                let got = plan.run(&grid, &opts);
+                for ((g, a), b) in grid.iter().zip(&baseline).zip(&got) {
+                    assert_reports_equal(a, b, &format!("{g} {opts:?}"));
                 }
             }
         }

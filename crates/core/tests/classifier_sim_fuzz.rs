@@ -5,10 +5,11 @@
 //! Geometries include non-power-of-two line sizes and set counts, which
 //! force the division fallback paths and the dense congruence tier.
 
-use cme_analysis::{FindMisses, WalkStrategy};
+use cme_analysis::{Classifier, FindMisses, Scratch, WalkStrategy};
 use cme_cache::{CacheConfig, Simulator};
 use cme_ir::{LinExpr, Program, ProgramBuilder, SNode, SRef};
 use cme_poly::rng::{Rng, SeededRng};
+use cme_reuse::ReuseAnalysis;
 
 /// A random guard-free two-deep nest. Each array gets one fixed subscript
 /// orientation; every reference to it is that orientation plus a small
@@ -154,7 +155,8 @@ fn trace_replay_agrees_with_classifier_and_simulator() {
 }
 
 /// The legacy full-scan walk sees the same totals on the same seed
-/// stream, so a divergence pins the blame on the skip-walk.
+/// stream, so a divergence pins the blame on the skip-walk. Both walks
+/// are driven per point through the `Classifier`, with no pre-pass.
 #[test]
 fn both_strategies_match_simulator() {
     let mut rng = SeededRng::seed_from_u64(0xD1FF + 1);
@@ -162,13 +164,27 @@ fn both_strategies_match_simulator() {
         let program = arb_perfect_program(&mut rng);
         let cfg = arb_config(&mut rng);
         let sim = Simulator::new(cfg).run(&program).total_misses();
+        let reuse = ReuseAnalysis::analyze(&program, cfg.line_bytes());
         for walk in [WalkStrategy::SetSkip, WalkStrategy::LegacyScan] {
-            let report = FindMisses::new(&program, cfg).strategy(walk).run();
-            assert_eq!(
-                report.exact_misses(),
-                Some(sim),
-                "case {case} cfg {cfg} strategy {walk:?}"
-            );
+            let classifier = Classifier::new(&program, &reuse, cfg).with_strategy(walk);
+            let mut scratch = Scratch::new();
+            let mut misses = 0u64;
+            for r in 0..program.references().len() {
+                program.ris(r).for_each_point(|point| {
+                    if classifier
+                        .classify_with_scratch(r, point, &mut scratch)
+                        .is_miss()
+                    {
+                        misses += 1;
+                    }
+                });
+            }
+            assert_eq!(misses, sim, "case {case} cfg {cfg} strategy {walk:?}");
         }
+        assert_eq!(
+            FindMisses::new(&program, cfg).run().exact_misses(),
+            Some(sim),
+            "case {case} cfg {cfg} pipeline"
+        );
     }
 }

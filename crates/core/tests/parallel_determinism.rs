@@ -5,10 +5,12 @@
 //! `Report` also records wall-clock time.)
 
 use cme_analysis::{
-    EstimateMisses, FindMisses, PrepassMode, SamplingOptions, Threads, WalkStrategy,
+    Classifier, EstimateMisses, FindMisses, PointClass, SamplingOptions, Scratch, SymbolicMode,
+    Threads, WalkStrategy,
 };
 use cme_cache::CacheConfig;
 use cme_ir::{LinExpr, LinRel, Program, ProgramBuilder, RelOp, SNode, SRef};
+use cme_reuse::ReuseAnalysis;
 
 /// Compared against a `Threads::Fixed(1)` baseline, which covers the
 /// serial path itself.
@@ -126,39 +128,61 @@ fn faithful_options_identical_across_thread_counts() {
     }
 }
 
-/// The walk strategy, the thread count and the hit/miss pre-pass are
-/// independent determinism axes: every (prepass, strategy, threads)
-/// combination — including the default set-conscious skip-walk with the
-/// pre-pass on at 1, 2 and 8 workers — yields a report identical to the
-/// legacy full scan run serially with the pre-pass off.
+/// Per-reference `(cold, replacement, hits)` from the legacy full-scan
+/// walk, classifying every point serially with no pre-pass and no
+/// symbolic tier: the reference every pipeline setting must reproduce.
+fn legacy_scan_tallies(program: &Program, cfg: CacheConfig) -> Vec<(u64, u64, u64)> {
+    let reuse = ReuseAnalysis::analyze(program, cfg.line_bytes());
+    let scan = Classifier::new(program, &reuse, cfg).with_strategy(WalkStrategy::LegacyScan);
+    let mut scratch = Scratch::new();
+    (0..program.references().len())
+        .map(|r| {
+            let mut t = (0, 0, 0);
+            program.ris(r).for_each_point(|point| {
+                match scan.classify_with_scratch(r, point, &mut scratch) {
+                    PointClass::Cold => t.0 += 1,
+                    PointClass::ReplacementMiss { .. } => t.1 += 1,
+                    PointClass::Hit { .. } => t.2 += 1,
+                }
+            });
+            t
+        })
+        .collect()
+}
+
+/// The thread count and the symbolic tier are independent determinism
+/// axes of the one exact pipeline: every (symbolic, threads) combination
+/// — including the default (symbolic off, pre-pass and set-skip walk) at
+/// 1, 2 and 8 workers — yields per-reference tallies identical to the
+/// legacy full scan run serially with no pre-pass.
 #[test]
-fn strategy_and_threads_identical_reports() {
+fn pipeline_matches_legacy_scan_at_every_thread_count() {
     let cfg = CacheConfig::new(4096, 32, 2).unwrap();
     for (name, program) in &workloads() {
+        let legacy = legacy_scan_tallies(program, cfg);
         let baseline = FindMisses::new(program, cfg)
-            .strategy(WalkStrategy::LegacyScan)
             .threads(Threads::Fixed(1))
-            .prepass(PrepassMode::Off)
             .run();
-        for prepass in [PrepassMode::On, PrepassMode::Off] {
-            for walk in [WalkStrategy::SetSkip, WalkStrategy::LegacyScan] {
-                for threads in [1usize, 2, 8] {
-                    let report = FindMisses::new(program, cfg)
-                        .strategy(walk)
-                        .threads(Threads::Fixed(threads))
-                        .prepass(prepass)
-                        .run();
-                    assert_eq!(
-                        baseline.references(),
-                        report.references(),
-                        "{name}: {prepass:?}/{walk:?} diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        baseline.exact_misses(),
-                        report.exact_misses(),
-                        "{name}: {prepass:?}/{walk:?}/{threads}"
-                    );
-                }
+        for symbolic in [SymbolicMode::Off, SymbolicMode::On] {
+            for threads in [1usize, 2, 8] {
+                let report = FindMisses::new(program, cfg)
+                    .threads(Threads::Fixed(threads))
+                    .symbolic(symbolic)
+                    .run();
+                let got: Vec<(u64, u64, u64)> = report
+                    .references()
+                    .iter()
+                    .map(|rr| (rr.cold, rr.replacement, rr.hits))
+                    .collect();
+                assert_eq!(
+                    legacy, got,
+                    "{name}: {symbolic:?} diverged from the legacy scan at {threads} threads"
+                );
+                assert_eq!(
+                    baseline.references(),
+                    report.references(),
+                    "{name}: {symbolic:?}/{threads}"
+                );
             }
         }
     }

@@ -17,9 +17,7 @@
 //! 3. **under cancellation** — an expired deadline aborts inside the
 //!    pre-pass itself, before any verdict tier is published.
 
-use cme_analysis::{
-    prepass, CancelToken, Classifier, FindMisses, PointClass, PrepassMode, Scratch, Verdict,
-};
+use cme_analysis::{prepass, CancelToken, Classifier, FindMisses, PointClass, Scratch, Verdict};
 use cme_cache::{Cache, CacheConfig};
 use cme_ir::{LinExpr, LinRel, Program, ProgramBuilder, RelOp, SNode, SRef};
 use cme_poly::rng::{Rng, SeededRng};
@@ -344,13 +342,11 @@ fn expired_deadline_aborts_inside_prepass() {
     let cfg = CacheConfig::new(4096, 32, 2).unwrap();
 
     // End-to-end: a 1ms deadline on a multi-hundred-ms workload errors
-    // out through FindMisses with the pre-pass enabled.
+    // out through FindMisses, whose pipeline always runs the pre-pass.
     let started = std::time::Instant::now();
-    let result = FindMisses::new(&program, cfg)
-        .prepass(PrepassMode::On)
-        .run_cancellable(&CancelToken::with_timeout(
-            std::time::Duration::from_millis(1),
-        ));
+    let result = FindMisses::new(&program, cfg).run_cancellable(&CancelToken::with_timeout(
+        std::time::Duration::from_millis(1),
+    ));
     assert!(result.is_err(), "1ms deadline must cancel the analysis");
     assert!(
         started.elapsed() < std::time::Duration::from_secs(5),

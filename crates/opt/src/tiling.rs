@@ -90,7 +90,6 @@ where
             // One level of parallelism only: the candidate sweep gets the
             // workers, each evaluation classifies serially.
             job.threads = Threads::Fixed(1);
-            job.prepass = sampling.prepass;
             engine
                 .run(&job)
                 .expect("tile evaluations carry no deadline")

@@ -25,8 +25,8 @@ use crate::fault::{self, FaultSite, Faults};
 use crate::metrics::Metrics;
 use crate::store::{Store, StoredResult};
 use cme_analysis::{
-    CancelToken, EstimateMisses, FindMisses, PrepassMode, Report, SamplingOptions, SweepOptions,
-    SweepPlan, SymbolicMode, Threads, WalkStrategy,
+    CancelToken, EstimateMisses, FindMisses, Report, SamplingOptions, SweepOptions, SweepPlan,
+    SymbolicMode, Threads,
 };
 use cme_cache::CacheConfig;
 use cme_ir::{
@@ -60,12 +60,8 @@ pub struct Job<'p> {
     /// Consult/populate the result store for this job.
     pub use_store: bool,
     pub threads: Threads,
-    pub walk: WalkStrategy,
-    /// Hit/miss pre-pass toggle. Like `threads` and `walk`, excluded from
-    /// the fingerprint: the pre-pass never changes results, only wall time.
-    pub prepass: PrepassMode,
     /// Symbolic counting-tier toggle. Closed references return the exact
-    /// walk's totals without enumeration, so — like `prepass` — it is
+    /// walk's totals without enumeration, so — like `threads` — it is
     /// excluded from the fingerprint.
     pub symbolic: SymbolicMode,
 }
@@ -83,8 +79,6 @@ impl<'p> Job<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic,
         }
     }
@@ -99,8 +93,6 @@ impl<'p> Job<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::default(),
         }
     }
@@ -159,9 +151,9 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// The content-addressed job key: program (including layout), cache
-/// geometry, analysis mode and reuse cap. Thread count, walk strategy and
-/// the hit/miss pre-pass are deliberately excluded — results are
-/// byte-identical across them.
+/// geometry, analysis mode and reuse cap. Thread count and the symbolic
+/// tier are deliberately excluded — results are byte-identical across
+/// them.
 pub fn job_fingerprint(
     program: &Program,
     config: CacheConfig,
@@ -189,7 +181,7 @@ pub fn job_fingerprint(
                     h.write_f64(w);
                 }
             }
-            // `o.threads` and `o.prepass` excluded on purpose.
+            // `o.threads` and `o.symbolic` excluded on purpose.
         }
     }
     match reuse_cap {
@@ -287,8 +279,6 @@ pub struct SweepJob<'p> {
     /// Consult/populate the result store per cell.
     pub use_store: bool,
     pub threads: Threads,
-    pub walk: WalkStrategy,
-    pub prepass: PrepassMode,
     /// Defaults to **on** (unlike single queries): closed references
     /// amortize across the whole grid.
     pub symbolic: SymbolicMode,
@@ -304,8 +294,6 @@ impl<'p> SweepJob<'p> {
             cancel: CancelToken::never(),
             use_store: true,
             threads: Threads::Auto,
-            walk: WalkStrategy::default(),
-            prepass: PrepassMode::default(),
             symbolic: SymbolicMode::On,
         }
     }
@@ -593,15 +581,12 @@ impl Engine {
             AnalysisMode::Exact => {
                 FindMisses::with_reuse(job.program, job.config, (*reuse).clone())
                     .threads(job.threads)
-                    .strategy(job.walk)
-                    .prepass(job.prepass)
                     .symbolic(job.symbolic)
                     .run_cancellable(&job.cancel)
             }
             AnalysisMode::Estimate(options) => {
                 let options = SamplingOptions {
                     threads: job.threads,
-                    prepass: job.prepass,
                     symbolic: job.symbolic,
                     ..options.clone()
                 };
@@ -794,8 +779,6 @@ impl Engine {
             let plan = SweepPlan::with_reuse(job.program, reuse);
             let opts = SweepOptions {
                 threads: job.threads,
-                walk: job.walk,
-                prepass: job.prepass,
                 symbolic: job.symbolic,
             };
             let grid: Vec<CacheConfig> = missing.iter().map(|&i| job.geometries[i]).collect();
@@ -915,8 +898,6 @@ impl Engine {
             cancel: job.cancel.clone(),
             use_store: job.use_store,
             threads: job.threads,
-            walk: job.walk,
-            prepass: job.prepass,
             symbolic: SymbolicMode::On,
         };
         // A full-fingerprint store hit reports the certified closure (the
@@ -1111,65 +1092,20 @@ mod tests {
     }
 
     #[test]
-    fn payload_is_thread_and_strategy_invariant() {
+    fn payload_is_thread_and_symbolic_invariant() {
         let p = small_program();
         let cfg = CacheConfig::new(1024, 32, 2).unwrap();
         let engine = Engine::in_memory(8);
         let mut serial = Job::exact(&p, cfg);
         serial.use_store = false;
         serial.threads = Threads::Fixed(1);
-        serial.walk = WalkStrategy::LegacyScan;
-        serial.prepass = PrepassMode::Off;
+        serial.symbolic = SymbolicMode::On;
         let mut parallel = Job::exact(&p, cfg);
         parallel.use_store = false;
         parallel.threads = Threads::Fixed(4);
         let a = engine.run(&serial).unwrap();
         let b = engine.run(&parallel).unwrap();
         assert_eq!(&*a.payload, &*b.payload);
-    }
-
-    /// The pre-pass is a pure accelerator: like thread count and walk
-    /// strategy it is excluded from the job fingerprint, so a result
-    /// computed with it off is served hot to a request with it on (and
-    /// vice versa).
-    #[test]
-    fn store_hit_across_prepass_modes() {
-        use std::sync::atomic::Ordering;
-        let p = small_program();
-        let cfg = CacheConfig::new(1024, 32, 2).unwrap();
-        let engine = Engine::in_memory(8);
-        let mut off = Job::exact(&p, cfg);
-        off.prepass = PrepassMode::Off;
-        let cold = engine.run(&off).unwrap();
-        assert!(!cold.from_store);
-        assert_eq!(cold.prepass_resolved, 0);
-        let mut on = Job::exact(&p, cfg);
-        on.prepass = PrepassMode::On;
-        let hot = engine.run(&on).unwrap();
-        assert!(hot.from_store, "prepass mode must not change the job key");
-        assert_eq!(&*cold.payload, &*hot.payload);
-        assert_eq!(
-            engine
-                .metrics()
-                .prepass_resolved_points
-                .load(Ordering::Relaxed),
-            0
-        );
-        assert_eq!(
-            engine
-                .metrics()
-                .prepass_unresolved_points
-                .load(Ordering::Relaxed),
-            cold.points
-        );
-        // And with store off, the two modes render identical bytes while
-        // the pre-pass reports what it resolved.
-        let mut fresh_on = Job::exact(&p, cfg);
-        fresh_on.use_store = false;
-        fresh_on.prepass = PrepassMode::On;
-        let ran = engine.run(&fresh_on).unwrap();
-        assert_eq!(&*ran.payload, &*cold.payload);
-        assert!(ran.prepass_resolved > 0, "sequential scan should resolve");
     }
 
     #[test]
@@ -1384,8 +1320,8 @@ mod tests {
         assert_eq!(seeded.computed, grid.len() as u64 - 1);
     }
 
-    /// Sweep results are invariant across threads x strategy x
-    /// prepass/symbolic modes, and duplicate grid cells compute once.
+    /// Sweep results are invariant across threads x symbolic modes, and
+    /// duplicate grid cells compute once.
     #[test]
     fn sweep_is_mode_invariant_and_dedups() {
         let p = small_program();
@@ -1394,36 +1330,19 @@ mod tests {
         let mut base = SweepJob::exact(&p, grid.clone());
         base.use_store = false;
         let baseline = engine.run_sweep(&base).unwrap();
-        for (threads, walk, prepass, symbolic) in [
-            (
-                Threads::Fixed(1),
-                WalkStrategy::LegacyScan,
-                PrepassMode::Off,
-                SymbolicMode::Off,
-            ),
-            (
-                Threads::Fixed(4),
-                WalkStrategy::SetSkip,
-                PrepassMode::On,
-                SymbolicMode::Off,
-            ),
-            (
-                Threads::Fixed(8),
-                WalkStrategy::SetSkip,
-                PrepassMode::Off,
-                SymbolicMode::On,
-            ),
+        for (threads, symbolic) in [
+            (Threads::Fixed(1), SymbolicMode::Off),
+            (Threads::Fixed(4), SymbolicMode::Off),
+            (Threads::Fixed(8), SymbolicMode::On),
         ] {
             let mut job = SweepJob::exact(&p, grid.clone());
             job.use_store = false;
             job.threads = threads;
-            job.walk = walk;
-            job.prepass = prepass;
             job.symbolic = symbolic;
             let got = engine.run_sweep(&job).unwrap();
             for (a, b) in baseline.cells.iter().zip(&got.cells) {
                 assert_eq!(a.fingerprint, b.fingerprint, "rank order must agree");
-                assert_eq!(&*a.payload, &*b.payload, "{:?}", (threads, walk, prepass));
+                assert_eq!(&*a.payload, &*b.payload, "{:?}", (threads, symbolic));
             }
         }
         // Duplicate geometries: one compute, identical twin cells.

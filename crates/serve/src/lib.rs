@@ -18,7 +18,7 @@
 //!   point-classification loops within one work chunk, releasing the
 //!   worker with a structured partial-progress error.
 //! * **Per-request observability** ([`metrics`]): queue wait, store
-//!   hit/miss, points classified, strategy, threads and wall time ride on
+//!   hit/miss, points classified, pipeline tiers, threads and wall time ride on
 //!   every response; aggregate counters answer the `stats` verb and are
 //!   dumped as JSON on shutdown.
 //! * **Chaos-tested failure handling** ([`fault`]): a seeded fault plan

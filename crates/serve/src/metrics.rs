@@ -42,7 +42,7 @@ pub struct Metrics {
     /// without an interference walk.
     pub prepass_resolved_points: AtomicU64,
     /// Of the classified points, how many still took the exact walk
-    /// (pre-pass off, sampled coverage, or unresolved residue).
+    /// (sampled coverage or unresolved residue).
     pub prepass_unresolved_points: AtomicU64,
     /// Of the classified points, how many the symbolic tier answered in
     /// closed form without enumeration.

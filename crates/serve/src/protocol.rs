@@ -23,8 +23,6 @@
 //! optional `"confidence"`, `"width"`, `"seed"`. Optional knobs:
 //! `"timeout_ms"`, `"store":false` (bypass the result store),
 //! `"threads"` (0 = one per hardware thread),
-//! `"strategy":"set-skip"|"legacy-scan"`, `"prepass":"on"|"off"` (the
-//! hit/miss pre-pass; on by default, never changes results),
 //! `"symbolic":"on"|"off"` (the closed-form counting tier; off by
 //! default, never changes results) and `"parametric":true` (exact mode
 //! only: force the symbolic tier and key a structural certificate, so one
@@ -41,11 +39,16 @@
 //! ranked miss-count table. The grid is `"grid":"8K,16K,32K:1,2:16,32"`
 //! (comma-lists per `SIZE:ASSOC:LINE` field, cartesian product) and/or an
 //! explicit `"geometries":["32K:2:32", ...]` array. Program spec, knobs
-//! (`"timeout_ms"`, `"store"`, `"threads"`, `"strategy"`, `"prepass"`,
-//! `"symbolic"` — **on** by default here) match `analyze`; each cell is
+//! (`"timeout_ms"`, `"store"`, `"threads"`, `"symbolic"` — **on** by
+//! default here) match `analyze`; each cell is
 //! content-addressed by its ordinary single-geometry fingerprint, so
 //! sweeps and lone queries share the store in both directions.
 //! `"reports":true` embeds each cell's full canonical report.
+//!
+//! Every exact analysis runs one pipeline: the symbolic tier when enabled,
+//! then the hit/miss pre-pass, then the set-skip walk. Unknown fields are
+//! ignored, so requests from older clients that still carry the retired
+//! `strategy` and `prepass` knobs are served unchanged.
 //!
 //! `{"cmd":"trace", ...}` replays an address trace through the streaming
 //! LRU simulator. The trace is named either by `"file":"/path"` (a raw or
@@ -65,7 +68,7 @@
 //! it is always safe.
 
 use crate::json::{obj, Json};
-use cme_analysis::{PrepassMode, SamplingOptions, SymbolicMode, Threads, WalkStrategy};
+use cme_analysis::{SamplingOptions, SymbolicMode, Threads};
 use cme_cache::CacheConfig;
 use cme_ir::Program;
 use std::collections::HashMap;
@@ -178,8 +181,6 @@ pub struct AnalyzeRequest {
     pub timeout_ms: Option<u64>,
     pub use_store: bool,
     pub threads: Threads,
-    pub strategy: WalkStrategy,
-    pub prepass: PrepassMode,
     pub symbolic: SymbolicMode,
     /// Route through the parametric engine path: exact mode with the
     /// symbolic tier forced on, plus a structural certificate.
@@ -217,8 +218,6 @@ pub struct SweepRequest {
     pub timeout_ms: Option<u64>,
     pub use_store: bool,
     pub threads: Threads,
-    pub strategy: WalkStrategy,
-    pub prepass: PrepassMode,
     /// Defaults to **on** for sweeps: closed references amortize across
     /// the grid (results are identical either way).
     pub symbolic: SymbolicMode,
@@ -319,22 +318,6 @@ impl Request {
         })
     }
 
-    fn strategy_from(v: &Json) -> Result<WalkStrategy, String> {
-        match v.get("strategy").and_then(Json::as_str) {
-            None | Some("set-skip") => Ok(WalkStrategy::SetSkip),
-            Some("legacy-scan") => Ok(WalkStrategy::LegacyScan),
-            Some(other) => Err(format!("unknown strategy `{other}`")),
-        }
-    }
-
-    fn prepass_from(v: &Json) -> Result<PrepassMode, String> {
-        match v.get("prepass").and_then(Json::as_str) {
-            None | Some("on") => Ok(PrepassMode::On),
-            Some("off") => Ok(PrepassMode::Off),
-            Some(other) => Err(format!("unknown prepass mode `{other}`")),
-        }
-    }
-
     /// The symbolic knob; `default` differs per verb (off for `analyze`,
     /// on for `sweep`).
     fn symbolic_from(v: &Json, default: SymbolicMode) -> Result<SymbolicMode, String> {
@@ -381,8 +364,6 @@ impl Request {
             threads: Threads::from_flag(
                 v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
             ),
-            strategy: Self::strategy_from(v)?,
-            prepass: Self::prepass_from(v)?,
             symbolic: Self::symbolic_from(v, SymbolicMode::On)?,
             include_reports: v.get("reports").and_then(Json::as_bool).unwrap_or(false),
         })
@@ -414,8 +395,6 @@ impl Request {
             other => return Err(format!("unknown mode `{other}`")),
         };
 
-        let strategy = Self::strategy_from(v)?;
-        let prepass = Self::prepass_from(v)?;
         let symbolic = Self::symbolic_from(v, SymbolicMode::Off)?;
 
         let parametric = v.get("parametric").and_then(Json::as_bool).unwrap_or(false);
@@ -439,8 +418,6 @@ impl Request {
             threads: Threads::from_flag(
                 v.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize
             ),
-            strategy,
-            prepass,
             symbolic,
             parametric,
         })
@@ -476,7 +453,7 @@ mod tests {
     #[test]
     fn parses_exact_with_geometry() {
         let v = Json::parse(
-            r#"{"cmd":"analyze","workload":"hydro","n":10,"cache":1024,"line":16,"assoc":1,"mode":"exact","timeout_ms":250,"store":false,"threads":2,"strategy":"legacy-scan"}"#,
+            r#"{"cmd":"analyze","workload":"hydro","n":10,"cache":1024,"line":16,"assoc":1,"mode":"exact","timeout_ms":250,"store":false,"threads":2}"#,
         )
         .unwrap();
         let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
@@ -485,32 +462,26 @@ mod tests {
         assert_eq!(req.mode, Mode::Exact);
         assert_eq!(req.timeout_ms, Some(250));
         assert!(!req.use_store);
-        assert_eq!(req.strategy, WalkStrategy::LegacyScan);
         assert_eq!(req.threads, Threads::Fixed(2));
-        assert_eq!(req.prepass, PrepassMode::On, "prepass defaults to on");
     }
 
+    /// The retired `strategy` and `prepass` knobs parse as unknown fields:
+    /// whatever an older client sends there, the request is the same as
+    /// without them.
     #[test]
-    fn parses_prepass_modes() {
-        for (text, want) in [
-            (
-                r#"{"cmd":"analyze","workload":"mmt","n":8}"#,
-                PrepassMode::On,
-            ),
-            (
-                r#"{"cmd":"analyze","workload":"mmt","n":8,"prepass":"on"}"#,
-                PrepassMode::On,
-            ),
-            (
-                r#"{"cmd":"analyze","workload":"mmt","n":8,"prepass":"off"}"#,
-                PrepassMode::Off,
-            ),
-        ] {
-            let v = Json::parse(text).unwrap();
-            let Request::Analyze(req) = Request::from_json(&v).unwrap() else {
-                panic!("expected analyze: {text}");
-            };
-            assert_eq!(req.prepass, want, "{text}");
+    fn retired_knobs_are_ignored() {
+        for (verb, extra) in [("analyze", ""), ("sweep", r#","grid":"8K:1:32""#)] {
+            let plain = format!(r#"{{"cmd":"{verb}","workload":"mmt","n":8{extra}}}"#);
+            let plain = Request::from_json(&Json::parse(&plain).unwrap()).unwrap();
+            for knobs in [
+                r#""strategy":"legacy-scan","prepass":"off""#,
+                r#""strategy":"set-skip","prepass":"on""#,
+                r#""strategy":"bogus","prepass":7"#,
+            ] {
+                let text = format!(r#"{{"cmd":"{verb}","workload":"mmt","n":8{extra},{knobs}}}"#);
+                let req = Request::from_json(&Json::parse(&text).unwrap()).unwrap();
+                assert_eq!(req, plain, "{text}");
+            }
         }
     }
 
@@ -564,7 +535,7 @@ mod tests {
             r#"{"nope":1}"#,
             r#"{"cmd":"analyze"}"#,
             r#"{"cmd":"analyze","workload":"mmt","mode":"wat"}"#,
-            r#"{"cmd":"analyze","workload":"mmt","prepass":"maybe"}"#,
+            r#"{"cmd":"analyze","workload":"mmt","symbolic":"maybe"}"#,
             r#"{"cmd":"frobnicate"}"#,
         ] {
             let v = Json::parse(text).unwrap();
@@ -629,7 +600,6 @@ mod tests {
             CacheConfig::parse_geometry("8K:1:32").unwrap()
         );
         assert_eq!(req.symbolic, SymbolicMode::On, "sweep defaults symbolic on");
-        assert_eq!(req.prepass, PrepassMode::On);
         assert!(req.use_store);
         assert!(!req.include_reports);
 

@@ -39,7 +39,7 @@ use crate::protocol::{
     error_response, AnalyzeRequest, Request, SweepRequest, TraceRequest, TraceSource,
 };
 use crate::store::Store;
-use cme_analysis::{CancelToken, PrepassMode, SymbolicMode, WalkStrategy};
+use cme_analysis::{CancelToken, SymbolicMode};
 use cme_cache::CacheConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -637,8 +637,6 @@ fn run_sweep(
         cancel: cancel.clone(),
         use_store: req.use_store,
         threads: req.threads,
-        walk: req.strategy,
-        prepass: req.prepass,
         symbolic: req.symbolic,
     };
     let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -761,8 +759,6 @@ fn run_analyze(
         cancel: cancel.clone(),
         use_store: req.use_store,
         threads: req.threads,
-        walk: req.strategy,
-        prepass: req.prepass,
         symbolic: req.symbolic,
     };
     // The engine call is the panic domain: an unwinding worker (injected
@@ -810,26 +806,6 @@ fn run_analyze(
                 ("wall_us", Json::Int(out.wall.as_micros() as i64)),
                 ("queue_wait_us", Json::Int(queue_wait.as_micros() as i64)),
                 ("threads", Json::Int(job.threads.count() as i64)),
-                (
-                    "strategy",
-                    Json::Str(
-                        match req.strategy {
-                            WalkStrategy::SetSkip => "set-skip",
-                            WalkStrategy::LegacyScan => "legacy-scan",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                (
-                    "prepass",
-                    Json::Str(
-                        match req.prepass {
-                            PrepassMode::On => "on",
-                            PrepassMode::Off => "off",
-                        }
-                        .to_string(),
-                    ),
-                ),
                 (
                     // Parametric requests force the symbolic tier on.
                     "symbolic",

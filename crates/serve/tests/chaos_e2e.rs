@@ -167,10 +167,11 @@ fn overload_sheds_with_retry_after() {
     let busy = {
         let mut c = daemon.client();
         std::thread::spawn(move || {
-            // Legacy scan + no pre-pass forces the slow exhaustive walk, so
-            // the worker is reliably busy until the 1 s deadline trips.
+            // Exact MMT at n=128 takes several seconds even on the default
+            // pipeline (n=100 alone takes ~3.7 s on 2 cores), so the worker
+            // is reliably busy until the 1 s deadline trips.
             c.request_line(
-                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000,"strategy":"legacy-scan","prepass":"off"}"#,
+                r#"{"cmd":"analyze","workload":"mmt","n":128,"mode":"exact","store":false,"timeout_ms":1000}"#,
             )
             .unwrap()
         })

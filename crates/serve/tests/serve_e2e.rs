@@ -383,6 +383,55 @@ fn sweep_populates_store_and_matches_single_queries() {
     daemon.shutdown();
 }
 
+/// Requests from older clients may still carry the retired `strategy` and
+/// `prepass` knobs. They are ignored like any unknown field: the answer is
+/// the same report under the same fingerprint as without them.
+#[test]
+fn retired_knobs_from_old_clients_change_nothing() {
+    let daemon = Daemon::start("oldknobs");
+    let mut client = daemon.client();
+    let old = r#""strategy":"legacy-scan","prepass":"off""#;
+
+    let analyze =
+        r#""cmd":"analyze","workload":"hydro","n":40,"mode":"exact","geometry":"4K:2:32""#;
+    let with_knobs = client
+        .request_line(&format!("{{{analyze},{old}}}"))
+        .unwrap();
+    let fresh = client
+        .request_line(&format!(r#"{{{analyze},"store":false}}"#))
+        .unwrap();
+    let hot = client.request_line(&format!("{{{analyze}}}")).unwrap();
+    let (with_knobs_v, fresh_v, hot_v) = (
+        Json::parse(&with_knobs).unwrap(),
+        Json::parse(&fresh).unwrap(),
+        Json::parse(&hot).unwrap(),
+    );
+    for v in [&with_knobs_v, &fresh_v, &hot_v] {
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{v:?}");
+    }
+    assert_eq!(report_bytes(&with_knobs), report_bytes(&fresh));
+    assert_eq!(report_bytes(&with_knobs), report_bytes(&hot));
+    assert_eq!(with_knobs_v.get("fingerprint"), fresh_v.get("fingerprint"));
+    assert_eq!(
+        hot_v.get("metrics").unwrap().get("store").unwrap().as_str(),
+        Some("hit"),
+        "the old-knob answer must be stored under the plain request's key"
+    );
+
+    let sweep = r#""cmd":"sweep","workload":"hydro","n":40,"grid":"2K,4K:1,2:32","reports":true,"store":false"#;
+    let cells = |line: &str| -> String {
+        let start = line.find(r#""cells":"#).expect("has cells");
+        let end = line.find(r#","metrics":"#).expect("has metrics");
+        line[start..end].to_string()
+    };
+    let with_knobs = client.request_line(&format!("{{{sweep},{old}}}")).unwrap();
+    let plain = client.request_line(&format!("{{{sweep}}}")).unwrap();
+    assert!(with_knobs.starts_with(r#"{"ok":true"#), "{with_knobs}");
+    assert_eq!(cells(&with_knobs), cells(&plain));
+
+    daemon.shutdown();
+}
+
 fn median(mut v: Vec<Duration>) -> Duration {
     v.sort();
     v[v.len() / 2]

@@ -24,6 +24,14 @@ fn usage_errors_exit_1() {
         Some(1),
         "unknown flag"
     );
+    // The retired pipeline knobs are unknown flags like any other.
+    let out = cme(&["query", "--prepass", "off"]);
+    assert_eq!(out.status.code(), Some(1), "retired --prepass");
+    assert!(
+        stderr(&out).contains("unknown query flag `--prepass`"),
+        "{}",
+        stderr(&out)
+    );
     assert_eq!(
         cme(&["serve", "--chaos", "not-a-spec"]).status.code(),
         Some(1),
